@@ -140,8 +140,11 @@ func runBatchPipeline(p batchPipeline, workers int, node query.Node, db map[stri
 			count++
 		}
 	case p.serve:
-		// The batched serve path (what /query/stream does): pooled
-		// scratch, sized buffer, flush per batch boundary.
+		// The batched serve path over the exported codec: pooled
+		// scratch, sized buffer, flush per batch boundary. /query/stream
+		// itself writes the same bytes through its reflection-free
+		// tuple line writer, so this measures the json.Encoder write
+		// path it replaced.
 		bw := bufio.NewWriterSize(&cw, 64<<10)
 		enc := json.NewEncoder(bw)
 		enc.SetEscapeHTML(false)

@@ -72,9 +72,11 @@ func runSoAPipeline(p soaPipeline, workers int, node query.Node, db map[string]*
 	var cw countingWriter
 	count := 0
 	if p.serve {
-		// The batched serve path of /query/stream: pooled scratch, sized
-		// buffer, flush per batch boundary; the read side is columnar
-		// exactly when the blocks carry columns.
+		// The batched serve path over the exported codec: pooled
+		// scratch, sized buffer, flush per batch boundary; the read side
+		// is columnar exactly when the blocks carry columns. /query/stream
+		// itself writes the same bytes through its reflection-free tuple
+		// line writer, so this measures the json.Encoder write path.
 		bw := bufio.NewWriterSize(&cw, 64<<10)
 		enc := json.NewEncoder(bw)
 		enc.SetEscapeHTML(false)

@@ -195,6 +195,19 @@ func (in *Interner) Name(id VarID) string {
 	return in.names[id]
 }
 
+// Names returns a snapshot of the arena: element id is the name of every
+// id assigned before the call. The arena only appends — later interns
+// write past the snapshot's length or into a fresh array — so the
+// snapshot stays valid and is read without the lock: one RLock serves a
+// whole formula render instead of one per leaf. The slice is shared and
+// must not be modified; its capacity is clipped, so appending to it
+// copies.
+func (in *Interner) Names() []string {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.names[:len(in.names):len(in.names)]
+}
+
 // Len returns the number of interned names.
 func (in *Interner) Len() int {
 	in.mu.RLock()

@@ -88,3 +88,44 @@ func TestInternerStableAndConcurrent(t *testing.T) {
 		t.Fatalf("Len=%d, want 101", in.Len())
 	}
 }
+
+// TestInternerNamesSnapshot pins the lock-free read view: a snapshot
+// resolves every id assigned before it, and keeps doing so — without
+// the lock — while other goroutines intern new names (run with -race).
+func TestInternerNamesSnapshot(t *testing.T) {
+	in := NewInterner()
+	for i := 0; i < 10; i++ {
+		in.Intern(fmt.Sprintf("s%d", i))
+	}
+	snap := in.Names()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				in.Intern(fmt.Sprintf("g%d-%d", g, i))
+			}
+		}(g)
+	}
+	for round := 0; round < 200; round++ {
+		for i, name := range snap {
+			if name != fmt.Sprintf("s%d", i) {
+				t.Fatalf("snapshot[%d] = %q during concurrent interns", i, name)
+			}
+		}
+	}
+	wg.Wait()
+	if len(snap) != 10 || cap(snap) != 10 {
+		t.Fatalf("snapshot len %d cap %d, want 10/10 (clipped)", len(snap), cap(snap))
+	}
+	all := in.Names()
+	for id, name := range all {
+		if in.Name(VarID(id)) != name {
+			t.Fatalf("Names()[%d] = %q, Name = %q", id, name, in.Name(VarID(id)))
+		}
+	}
+	if len(all) != 10+4*500 {
+		t.Fatalf("Names() has %d entries, want %d", len(all), 10+4*500)
+	}
+}

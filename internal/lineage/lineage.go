@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"github.com/tpset/tpset/internal/keys"
 )
@@ -295,51 +296,53 @@ func containsAny(e *Expr, ids []keys.VarID) bool {
 // String renders the formula with the paper's connective symbols, fully
 // parenthesized for unambiguity, e.g. "c1∧¬(a1∨b1)".
 func (e *Expr) String() string {
-	if e == nil {
-		return "null"
-	}
-	var b strings.Builder
-	e.render(&b)
-	return b.String()
+	b := e.AppendString(nil)
+	return unsafe.String(unsafe.SliceData(b), len(b)) // b is not retained (the strings.Builder idiom)
 }
 
-func (e *Expr) render(b *strings.Builder) {
+// AppendString appends the String rendering of the formula to dst and
+// returns the extended slice. The variable names come from one snapshot
+// of the intern arena, so a render takes the arena lock once, not once
+// per leaf.
+func (e *Expr) AppendString(dst []byte) []byte {
+	if e == nil {
+		return append(dst, "null"...)
+	}
+	return e.render(dst, vars.Names())
+}
+
+func (e *Expr) render(dst []byte, names []string) []byte {
 	switch e.kind {
 	case KindVar:
-		b.WriteString(e.idName())
+		return append(dst, names[e.id]...)
 	case KindNot:
-		b.WriteString("¬")
+		dst = append(dst, "¬"...)
 		if e.left.kind == KindVar {
-			e.left.render(b)
-		} else {
-			b.WriteByte('(')
-			e.left.render(b)
-			b.WriteByte(')')
+			return e.left.render(dst, names)
 		}
+		dst = append(dst, '(')
+		dst = e.left.render(dst, names)
+		return append(dst, ')')
 	case KindAnd:
-		e.renderChild(b, e.left, KindAnd)
-		b.WriteString("∧")
-		e.renderChild(b, e.right, KindAnd)
-	case KindOr:
-		e.renderChild(b, e.left, KindOr)
-		b.WriteString("∨")
-		e.renderChild(b, e.right, KindOr)
+		dst = e.left.renderChild(dst, names, KindAnd)
+		dst = append(dst, "∧"...)
+		return e.right.renderChild(dst, names, KindAnd)
+	default: // KindOr
+		dst = e.left.renderChild(dst, names, KindOr)
+		dst = append(dst, "∨"...)
+		return e.right.renderChild(dst, names, KindOr)
 	}
 }
 
-func (e *Expr) renderChild(b *strings.Builder, c *Expr, parent Kind) {
-	need := false
-	switch c.kind {
-	case KindAnd, KindOr:
-		need = c.kind != parent
+// renderChild renders an operand of a parent ∧/∨, parenthesized when it
+// is the other binary connective.
+func (e *Expr) renderChild(dst []byte, names []string, parent Kind) []byte {
+	if (e.kind == KindAnd || e.kind == KindOr) && e.kind != parent {
+		dst = append(dst, '(')
+		dst = e.render(dst, names)
+		return append(dst, ')')
 	}
-	if need {
-		b.WriteByte('(')
-		c.render(b)
-		b.WriteByte(')')
-	} else {
-		c.render(b)
-	}
+	return e.render(dst, names)
 }
 
 // Canonical returns a canonical syntactic rendering: associativity is
@@ -638,18 +641,48 @@ func (e *Expr) VarProbs(probs map[string]float64) {
 	if e == nil {
 		return
 	}
-	e.varProbs(probs)
+	e.varProbs(probs, vars.Names())
 }
 
-func (e *Expr) varProbs(probs map[string]float64) {
+func (e *Expr) varProbs(probs map[string]float64, names []string) {
 	switch e.kind {
 	case KindVar:
-		probs[e.idName()] = e.prob
+		probs[names[e.id]] = e.prob
 	case KindNot:
-		e.left.varProbs(probs)
+		e.left.varProbs(probs, names)
 	default:
-		e.left.varProbs(probs)
-		e.right.varProbs(probs)
+		e.left.varProbs(probs, names)
+		e.right.varProbs(probs, names)
+	}
+}
+
+// VarOcc is one variable occurrence of a formula: the base-tuple
+// identifier and its marginal probability.
+type VarOcc struct {
+	Name string
+	Prob float64
+}
+
+// AppendVarOccs appends one VarOcc per variable occurrence (leaf) of the
+// formula to dst, left to right — the order VarProbs records them in, so
+// where a name repeats, its last occurrence is the one VarProbs keeps.
+// Like AppendString it reads the intern arena through one snapshot. A
+// nil receiver appends nothing.
+func (e *Expr) AppendVarOccs(dst []VarOcc) []VarOcc {
+	if e == nil {
+		return dst
+	}
+	return e.appendVarOccs(dst, vars.Names())
+}
+
+func (e *Expr) appendVarOccs(dst []VarOcc, names []string) []VarOcc {
+	switch e.kind {
+	case KindVar:
+		return append(dst, VarOcc{Name: names[e.id], Prob: e.prob})
+	case KindNot:
+		return e.left.appendVarOccs(dst, names)
+	default:
+		return e.right.appendVarOccs(e.left.appendVarOccs(dst, names), names)
 	}
 }
 

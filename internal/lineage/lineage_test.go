@@ -45,10 +45,42 @@ func TestStringRendering(t *testing.T) {
 		if got := tc.e.String(); got != tc.want {
 			t.Errorf("got %s, want %s", got, tc.want)
 		}
+		// AppendString is the one renderer: it appends after any prefix.
+		if got := string(tc.e.AppendString([]byte("λ="))); got != "λ="+tc.want {
+			t.Errorf("AppendString: got %s, want λ=%s", got, tc.want)
+		}
 	}
 	var nilE *Expr
-	if nilE.String() != "null" {
+	if nilE.String() != "null" || string(nilE.AppendString(nil)) != "null" {
 		t.Error("nil must render as null")
+	}
+}
+
+// TestAppendVarOccs pins the occurrence appender the stream's varProbs
+// writer relies on: one entry per leaf, left to right (the order
+// VarProbs records marginals in), repeats included.
+func TestAppendVarOccs(t *testing.T) {
+	a, b := v("a", 0.5), v("b", 0.25)
+	a2 := v("a", 0.75) // same name, different marginal: the later occurrence wins in VarProbs
+	e := Or(And(a, Not(b)), And(b, a2))
+	got := e.AppendVarOccs([]VarOcc{{"prefix", 1}})
+	want := []VarOcc{{"prefix", 1}, {"a", 0.5}, {"b", 0.25}, {"b", 0.25}, {"a", 0.75}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+	m := map[string]float64{}
+	e.VarProbs(m)
+	if m["a"] != 0.75 || m["b"] != 0.25 || len(m) != 2 {
+		t.Fatalf("VarProbs = %v; want the last occurrence of each name", m)
+	}
+	var nilE *Expr
+	if n := len(nilE.AppendVarOccs(nil)); n != 0 {
+		t.Fatalf("nil formula has %d occurrences", n)
 	}
 }
 

@@ -61,9 +61,9 @@ func EncodeRelation(r *relation.Relation, version uint64) RelationJSON {
 	return rj
 }
 
-// EncodeTuple converts one tuple to its wire form — the per-line payload
-// of the NDJSON streaming endpoint, and the element encoder of
-// EncodeRelation.
+// EncodeTuple converts one tuple to its wire form — the element encoder
+// of EncodeRelation. A /query/stream tuple line is exactly json.Encoder's
+// encoding of this value (appendTupleLine writes it without reflection).
 func EncodeTuple(t *relation.Tuple) TupleJSON {
 	var tj TupleJSON
 	EncodeTupleInto(&tj, t, nil)
@@ -71,12 +71,13 @@ func EncodeTuple(t *relation.Tuple) TupleJSON {
 }
 
 // EncodeTupleInto fills tj with the wire form of t, reusing probs (when
-// non-nil) as the VarProbs map — the allocation-free form the batched
-// NDJSON stream uses: one TupleJSON and one marginals map serve a whole
-// stream instead of being reallocated per tuple. The encoded bytes are
-// identical to EncodeTuple's (JSON maps serialize key-sorted). tj and
-// probs must not be retained across calls by the consumer; pass probs
-// nil to allocate a fresh map (EncodeTuple's escape-safe behaviour).
+// non-nil) as the VarProbs map, so one TupleJSON and one marginals map
+// can serve a whole run of tuples encoded through json.Encoder — the
+// reference the stream's appendTupleLine is tested against. The encoded
+// bytes are identical to EncodeTuple's (JSON maps serialize key-sorted).
+// tj and probs must not be retained across calls by the consumer; pass
+// probs nil to allocate a fresh map (EncodeTuple's escape-safe
+// behaviour).
 func EncodeTupleInto(tj *TupleJSON, t *relation.Tuple, probs map[string]float64) {
 	tj.Fact = []string(t.Fact)
 	tj.Lineage = t.Lineage.String()
@@ -88,13 +89,12 @@ func EncodeTupleInto(tj *TupleJSON, t *relation.Tuple, probs map[string]float64)
 }
 
 // EncodeBatchInto fills tj with the wire form of row i of b, reading
-// the interval, probability and lineage from the batch's packed columns
-// — the NDJSON stream's read side when the execution stack delivers
-// columnar blocks. The fact values still come from the payload row (the
-// wire format ships strings), and the encoded bytes are identical to
-// EncodeTupleInto over the same row. A batch without columns
-// (Batch.HasCols false) falls back to the row path; tj/probs reuse
-// rules are as for EncodeTupleInto.
+// the interval, probability and lineage from the batch's packed columns,
+// as the stream's appendTupleLine does. The fact values still come from
+// the payload row (the wire format ships strings), and the encoded bytes
+// are identical to EncodeTupleInto over the same row. A batch without
+// columns (Batch.HasCols false) falls back to the row path; tj/probs
+// reuse rules are as for EncodeTupleInto.
 func EncodeBatchInto(tj *TupleJSON, b *core.Batch, i int, probs map[string]float64) {
 	if b.Dict == nil {
 		EncodeTupleInto(tj, &b.Tuples[i], probs)
@@ -110,12 +110,19 @@ func EncodeBatchInto(tj *TupleJSON, b *core.Batch, i int, probs map[string]float
 	encodeVarProbs(tj, lam, probs)
 }
 
-// encodeVarProbs attaches the formula's variable marginals to tj. A bare
-// variable's marginal is recoverable from the tuple itself when the
-// probability was valuated eagerly; anything else (a real formula, or a
-// lazily unvaluated tuple) ships explicit marginals.
+// shipsVarProbs reports whether a tuple with lineage lam and probability
+// p carries varProbs on the wire. A bare variable's marginal is
+// recoverable from the tuple itself when the probability was valuated
+// eagerly; anything else (a real formula, or a lazily unvaluated tuple)
+// ships explicit marginals.
+func shipsVarProbs(lam *lineage.Expr, p float64) bool {
+	return lam != nil && (lam.Kind() != lineage.KindVar || p != lam.VarProb())
+}
+
+// encodeVarProbs attaches the formula's variable marginals to tj when
+// shipsVarProbs says the tuple carries them.
 func encodeVarProbs(tj *TupleJSON, lam *lineage.Expr, probs map[string]float64) {
-	if lam == nil || (lam.Kind() == lineage.KindVar && tj.Prob == lam.VarProb()) {
+	if !shipsVarProbs(lam, tj.Prob) {
 		return
 	}
 	if probs == nil {

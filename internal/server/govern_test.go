@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
 )
 
@@ -262,7 +263,7 @@ func TestPanicRecoveryMaterialized(t *testing.T) {
 // the last one is an error trailer, not a severed connection.
 func TestPanicRecoveryMidStream(t *testing.T) {
 	srv, ts := newGovTestServer(t, Config{Workers: 1})
-	testHookStreamBatch = func(shipped int) {
+	testHookStreamBatch = func(shipped int, _ *core.Batch) {
 		if shipped > 0 {
 			panic("mid-stream kaboom")
 		}

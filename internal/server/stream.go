@@ -12,9 +12,11 @@ import (
 	"runtime/debug"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/engine"
+	"github.com/tpset/tpset/internal/lineage"
 	"github.com/tpset/tpset/internal/obs"
 	"github.com/tpset/tpset/internal/query"
 )
@@ -27,13 +29,15 @@ import (
 //	last line:   StreamTrailer — {"done":true, tuples, elapsedMicros}
 //
 // Tuples are written as the cursor plan produces them, a batch at a
-// time, through one pooled encoder over a sized bufio.Writer: the write
-// path costs one buffered memcpy per tuple and one syscall per
-// buffered-up flush instead of one encoder allocation and one
-// ResponseWriter write per tuple. The buffer is flushed after the meta
-// line (so the client learns the schema at µs-scale TTFT) and on every
-// batch boundary — the first batch is deliberately small
-// (streamRampBatch, so the first results reach the client after a
+// time. Each tuple line is appended into a reused byte slice by
+// appendTupleLine — no reflection, no varProbs map, no per-tuple string
+// — and copied into one pooled 64 KiB bufio.Writer; a json.Encoder over
+// the same buffer writes only the once-per-stream meta and trailer
+// lines. The bytes are exactly json.Encoder's for the TupleJSON
+// EncodeBatchInto fills, so clients see no change. The buffer is flushed
+// after the meta line (so the client learns the schema at µs-scale
+// TTFT) and on every batch boundary — the first batch is deliberately
+// small (streamRampBatch, so the first results reach the client after a
 // handful of sweep outputs; the engine's shard producers ramp the same
 // way), later ones are streamBatchTuples, matching the promptness of
 // the previous per-256-tuple flush cadence while writes stay amortized
@@ -64,26 +68,31 @@ const streamRampBatch = 64
 // syscall amortization comes from the buffer, not the batch size.
 const streamBatchTuples = 256
 
+// maxPooledScratch caps the tuple-line scratch a pooled streamEncoder
+// keeps: release drops a line, lineage or varProbs buffer that one huge
+// formula grew past it, so that formula does not pin the memory in the
+// pool for the life of the process.
+const maxPooledScratch = 64 << 10
+
 // streamEncoder is the pooled per-stream write state: the sized buffer
-// and the tuple/marginals scratch that EncodeTupleInto reuses so a
-// steady-state stream allocates only the rendered lineage strings. The
-// json.Encoder is NOT pooled: it latches its first write error forever
-// (a disconnected client would poison the pool entry and break later
-// healthy streams), so a fresh one is bound per stream — a single
-// small allocation.
+// and the scratch appendTupleLine reuses — the tuple line, the rendered
+// lineage and the varProbs occurrences — so a steady-state stream
+// allocates nothing per tuple. The json.Encoder, which writes only the
+// meta and trailer lines, is NOT pooled: it latches its first write
+// error forever (a disconnected client would poison the pool entry and
+// break later healthy streams), so a fresh one is bound per stream — a
+// single small allocation.
 type streamEncoder struct {
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	scratch TupleJSON
-	probs   map[string]float64
+	bw   *bufio.Writer
+	enc  *json.Encoder
+	line []byte
+	lin  []byte
+	occs []lineage.VarOcc
 }
 
 var streamEncoderPool = sync.Pool{
 	New: func() any {
-		return &streamEncoder{
-			bw:    bufio.NewWriterSize(io.Discard, streamBufSize),
-			probs: make(map[string]float64),
-		}
+		return &streamEncoder{bw: bufio.NewWriterSize(io.Discard, streamBufSize)}
 	},
 }
 
@@ -98,7 +107,33 @@ func getStreamEncoder(w io.Writer) *streamEncoder {
 func (se *streamEncoder) release() {
 	se.bw.Reset(io.Discard) // drop the response writer reference (and any write error)
 	se.enc = nil            // per-stream; see the type comment
+	if cap(se.line) > maxPooledScratch {
+		se.line = nil
+	}
+	if cap(se.lin) > maxPooledScratch {
+		se.lin = nil
+	}
+	if cap(se.occs)*int(unsafe.Sizeof(lineage.VarOcc{})) > maxPooledScratch {
+		se.occs = nil
+	}
 	streamEncoderPool.Put(se)
+}
+
+// writeTuples writes every row of b as one NDJSON tuple line into the
+// buffer. An error is a failed write (the client is gone) or an
+// unencodable probability; either way the stream ends without a trailer.
+func (se *streamEncoder) writeTuples(b *core.Batch) error {
+	for i := range b.Tuples {
+		line, err := se.appendTupleLine(se.line[:0], b, i)
+		se.line = line
+		if err != nil {
+			return err
+		}
+		if _, err := se.bw.Write(line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StreamMeta is the first NDJSON line of a /query/stream response.
@@ -190,8 +225,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	// se.enc writes into the sized buffer; Encode terminates every value
-	// with '\n': NDJSON framing.
+	// se.enc and writeTuples both write into the sized buffer and end
+	// every value with '\n': NDJSON framing.
 
 	// Mid-stream panic net: the 200 and part of the body are already on
 	// the wire, so the outer recoverPanics middleware could not keep the
@@ -243,7 +278,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	b := core.NewBatch(streamRampBatch) // unpooled: stream-local cadence sizes
 	for cur.NextBatch(b) {
 		if testHookStreamBatch != nil {
-			testHookStreamBatch(count)
+			testHookStreamBatch(count, b)
 		}
 		if limit > 0 && count+len(b.Tuples) > limit {
 			// The batch in hand proves the result exceeds the budget;
@@ -257,23 +292,8 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			s.metrics.tuplesStreamed.Add(uint64(count))
 			return
 		}
-		if b.HasCols() {
-			// Columnar block: the encoder's read side runs over the
-			// packed Ts/Te/Prob/Lam columns instead of walking tuple
-			// structs. Byte-identical output either way.
-			for i := range b.Tuples {
-				EncodeBatchInto(&se.scratch, b, i, se.probs)
-				if err := se.enc.Encode(&se.scratch); err != nil {
-					return // client gone; Close (deferred) releases the producers
-				}
-			}
-		} else {
-			for i := range b.Tuples {
-				EncodeTupleInto(&se.scratch, &b.Tuples[i], se.probs)
-				if err := se.enc.Encode(&se.scratch); err != nil {
-					return // client gone; Close (deferred) releases the producers
-				}
-			}
+		if err := se.writeTuples(b); err != nil {
+			return // client gone (or a NaN p); Close (deferred) releases the producers
 		}
 		count += len(b.Tuples)
 		if first {
@@ -314,6 +334,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // testHookStreamBatch, when non-nil, runs once per drained batch with
-// the tuple count shipped so far — the seam the mid-stream panic test
-// uses to blow up after framing has started.
-var testHookStreamBatch func(shipped int)
+// the tuple count shipped so far and the batch about to ship — the seam
+// the mid-stream panic test uses to blow up after framing has started,
+// and the byte-identity test uses to see which batch layouts it covered.
+var testHookStreamBatch func(shipped int, b *core.Batch)

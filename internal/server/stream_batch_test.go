@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/tpset/tpset/internal/core"
 	"github.com/tpset/tpset/internal/datagen"
 	"github.com/tpset/tpset/internal/relation"
 )
@@ -18,8 +19,13 @@ import (
 // tuple line must be byte-identical to encoding the materialized result
 // tuple-by-tuple with a plain json.Encoder — the pre-batching write
 // path — and the trailer must carry the exact tuple count. Batching,
-// the pooled encoder and the reused TupleJSON/varProbs scratch are
-// transport changes only; the bytes on the wire do not move.
+// the pooled encoder and the reflection-free tuple line writer are
+// transport changes only; the bytes on the wire do not move. The cases
+// cover eager and lazy probabilities, repeating queries (a variable
+// occurring more than once, so varProbs dedups), fact values and
+// variable names that need JSON escaping, and both batch layouts: the
+// columnar operator output and the row batches a partitioned scan
+// below engine.DefaultMinColsRows ships.
 func TestStreamBytesUnchangedByBatching(t *testing.T) {
 	s, ts := newTestServer(t)
 	// A larger relation so multiple batches and buffer fills happen.
@@ -29,9 +35,45 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 	if _, err := s.Load("big", big.Clone()); err != nil {
 		t.Fatal(err)
 	}
+	// Fact values and lineage variables that JSON must escape: quotes,
+	// backslashes, control bytes, HTML metacharacters (left alone),
+	// U+2028/U+2029, invalid UTF-8 and multi-byte runes.
+	esc := relation.New(relation.NewSchema("esc", "Product"))
+	for i, v := range []string{
+		"milk", `a"b\c`, "<b>&amp;", "tab\tnl\ncr\r\x01\x1f\x7f", "ls\u2028ps\u2029",
+		"bad\xff\xfeutf8", "é漢🙂", "\b\f",
+	} {
+		esc.AddBase(relation.NewFact(v), fmt.Sprintf("e%d%s", i, v), 1, int64(5+i), 0.25+0.05*float64(i))
+	}
+	if _, err := s.Load("esc", esc); err != nil {
+		t.Fatal(err)
+	}
 
-	for _, q := range []string{"c - (a | b)", "big | big", "big & c"} {
-		resp, body := do(t, "POST", ts.URL+"/query/stream", QueryRequest{Query: q})
+	var rowBatches, colBatches int
+	testHookStreamBatch = func(_ int, b *core.Batch) {
+		if b.HasCols() {
+			colBatches++
+		} else {
+			rowBatches++
+		}
+	}
+	t.Cleanup(func() { testHookStreamBatch = nil })
+
+	for _, req := range []QueryRequest{
+		{Query: "c - (a | b)"},
+		{Query: "big | big"},
+		{Query: "big & c"},
+		{Query: "big"}, // partitioned scan: row batches
+		{Query: "c - (a | b)", LazyProb: true},
+		{Query: "big - (big & c)", LazyProb: true},
+		{Query: "c - (c & a)"},             // repeating: c1∧¬(c1∧a1)
+		{Query: "(big | c) - (big & big)"}, // repeating over many tuples
+		{Query: "esc | c"},
+		{Query: "esc - (esc & c)"},
+		{Query: "esc & esc", LazyProb: true},
+	} {
+		q := req.Query
+		resp, body := do(t, "POST", ts.URL+"/query/stream", req)
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s: status %d: %s", q, resp.StatusCode, body)
 		}
@@ -42,7 +84,7 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 
 		// Reference: the materialized result of the same query, encoded
 		// line-by-line exactly as the tuple-at-a-time handler did.
-		ref, err := s.RunQuery(QueryRequest{Query: q, NoCache: true})
+		ref, err := s.RunQuery(QueryRequest{Query: q, LazyProb: req.LazyProb, NoCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,6 +123,9 @@ func TestStreamBytesUnchangedByBatching(t *testing.T) {
 		if !trailer.Done || trailer.Tuples != len(ref.Result.Tuples) {
 			t.Fatalf("%s: trailer %+v, want done with %d tuples", q, trailer, len(ref.Result.Tuples))
 		}
+	}
+	if rowBatches == 0 || colBatches == 0 {
+		t.Fatalf("covered %d row and %d columnar batches; want both layouts", rowBatches, colBatches)
 	}
 }
 
